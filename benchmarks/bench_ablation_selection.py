@@ -1,8 +1,8 @@
 """Ablation — design choices in the pair-selection stage.
 
 Not a paper figure: this benchmark quantifies the two design decisions that
-DESIGN.md §6 calls out so their cost/benefit is visible next to the main
-results.
+the design notes in ``docs/paper_mapping.md`` call out so their
+cost/benefit is visible next to the main results.
 
 1. **Selection strategy** (optimal vs greedy vs random) at the reference
    setting — how many pairs each strategy embeds and how much distortion it

@@ -7,10 +7,10 @@ residual decomposition of the daily-visit series and the browser-history
 histogram barely move (Figures 6-9); and a next-URL sequence model trained
 on the watermarked data matches the accuracy of one trained on the original
 (82.33 % vs 82.34 % in the paper, with an LSTM; here with the Markov
-substitute documented in DESIGN.md). Expected shape: cumulative distortion
-stays tiny, every per-stage watermark remains detectable in the final
-version, all decomposition components change by well under a percent, and
-the model-accuracy difference is negligible.
+substitute documented in ``docs/paper_mapping.md``). Expected shape:
+cumulative distortion stays tiny, every per-stage watermark remains
+detectable in the final version, all decomposition components change by
+well under a percent, and the model-accuracy difference is negligible.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ judge protocol. Expected shape here: the owner's watermark survives in the
 pirate's copy with a high pair fraction, the pairs the pirate actually had
 to modify do not verify on the owner's earlier version, and the dispute is
 resolved for the owner once the watermark registry's chronological order is
-taken into account (see DESIGN.md for why detection alone can be
-ambiguous when the pirate's selection is dominated by already-aligned
-pairs).
+taken into account (see the design notes in ``docs/paper_mapping.md``
+for why detection alone can be ambiguous when the pirate's selection is
+dominated by already-aligned pairs).
 """
 
 from __future__ import annotations

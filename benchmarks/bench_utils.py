@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark / experiment-reproduction suite.
 
 Every module in this directory regenerates one table or figure from the
-FreqyWM paper (the mapping lives in DESIGN.md §4 and EXPERIMENTS.md). Each
+FreqyWM paper (the mapping lives in ``docs/paper_mapping.md``). Each
 benchmark uses ``benchmark.pedantic(..., rounds=1)`` so the experiment runs
 exactly once under timing, and then prints the rows / series the paper
 reports so the output can be compared side by side with the publication.

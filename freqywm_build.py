@@ -169,8 +169,8 @@ def build_sdist(sdist_directory, config_settings=None):
     """Build a source distribution tarball of the project tree."""
     name = f"{DIST_NAME}-{VERSION}"
     sdist_path = Path(sdist_directory) / f"{name}.tar.gz"
-    include = ["pyproject.toml", "setup.py", "freqywm_build.py", "README.md", "DESIGN.md",
-               "EXPERIMENTS.md", "src", "tests", "benchmarks", "examples"]
+    include = ["pyproject.toml", "setup.py", "freqywm_build.py", "README.md", "docs",
+               "src", "tests", "benchmarks", "examples"]
     with tarfile.open(sdist_path, "w:gz") as archive:
         for entry in include:
             path = PROJECT_ROOT / entry

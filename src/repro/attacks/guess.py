@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from scipy import stats
-
 from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
 from repro.core.hashing import generate_secret
@@ -66,6 +64,10 @@ def guess_success_probability(
     """
     if required_pairs > n_pairs:
         return 0.0
+    # Imported here: ``scipy.stats`` costs over a second to import and
+    # only this function needs it, so it stays off the CLI's start-up.
+    from scipy import stats
+
     p = single_pair_acceptance_probability(modulus, threshold)
     return float(stats.binom.sf(required_pairs - 1, n_pairs, p))
 

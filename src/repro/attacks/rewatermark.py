@@ -62,7 +62,7 @@ class RewatermarkOutcome:
         on both datasets, leaving this rule ambiguous; the judge protocol
         then falls back to the margin rule and finally to the registry's
         chronological order (see :class:`repro.dispute.judge.Judge` and the
-        discussion in DESIGN.md).
+        design notes in ``docs/paper_mapping.md``).
         """
         return self.owner_on_attacker_data.accepted and not self.attacker_on_owner_data.accepted
 

@@ -58,7 +58,7 @@ class GenerationConfig:
         watermarked pair embeds actual evidence. Recommended whenever the
         watermark must discriminate between dataset versions (ownership
         disputes, provenance chains, per-buyer fingerprints); see
-        DESIGN.md for the rationale.
+        ``docs/paper_mapping.md`` (design notes) for the rationale.
     max_pairs:
         Optional cap on the number of watermarked pairs. The paper's
         objective is the maximum number of pairs within the budget; owners

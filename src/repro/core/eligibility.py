@@ -236,15 +236,13 @@ class PairScanPlan:
         """Derive (or look up) every candidate pair's modulus once."""
         count = len(candidate_tokens)
         first_index, second_index = np.triu_indices(count, k=1)
-        modulus_of = modulus_cache.modulus
-        moduli = np.fromiter(
-            (
-                modulus_of(candidate_tokens[int(i)], candidate_tokens[int(j)])
-                for i, j in zip(first_index, second_index)
-            ),
-            dtype=np.int64,
-            count=len(first_index),
-        )
+        # ``triu_indices`` enumerates row-major, so the rows concatenate
+        # into exactly its pair order.
+        row_moduli = modulus_cache.row_moduli
+        values: List[int] = []
+        for i in range(count - 1):
+            values.extend(row_moduli(candidate_tokens[i], candidate_tokens[i + 1 :]))
+        moduli = np.array(values, dtype=np.int64)
         valid = moduli >= 2
         return cls(
             candidate_tokens=tuple(candidate_tokens),
@@ -436,19 +434,22 @@ def generate_eligible_pairs(
             require_modification=require_modification,
             backend=backend,
         )
-    modulus_of = (
-        modulus_cache.modulus
-        if modulus_cache is not None
-        else lambda a, b: pair_modulus(a, b, secret, modulus_cap)
-    )
+    if modulus_cache is not None:
+        row_moduli = modulus_cache.row_moduli
+    else:
+
+        def row_moduli(token_i: str, tokens_j: Sequence[str]) -> List[int]:
+            return [pair_modulus(token_i, token_j, secret, modulus_cap) for token_j in tokens_j]
+
     eligible: List[EligiblePair] = []
     for position, i in enumerate(candidate_indices):
         token_i = tokens[i]
         slack_i = slack_list[i]
         frequency_i = counts_list[i]
-        for j in candidate_indices[position + 1 :]:
+        later = candidate_indices[position + 1 :]
+        moduli = row_moduli(token_i, [tokens[j] for j in later])
+        for j, modulus in zip(later, moduli):
             token_j = tokens[j]
-            modulus = modulus_of(token_i, token_j)
             if not _boundary_allows(modulus, slack_i, slack_list[j]):
                 continue
             difference = frequency_i - counts_list[j]

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Callable
+import sys
+from typing import Callable, List, Sequence
 
 #: Security parameter (output bits of the hash) used throughout the paper.
 DEFAULT_SECURITY_BITS = 256
@@ -182,6 +183,55 @@ class PairModulusCache:
             self.resets += 1
         self._moduli[key] = value
         return value
+
+    def row_moduli(self, token_i: str, tokens_j: Sequence[str]) -> List[int]:
+        """``[self.modulus(token_i, token_j) for token_j in tokens_j]``, faster.
+
+        One row of the pair scan. With the default SHA-256 the outer
+        prefix ``tk_i || 0x00`` is absorbed once into a ``hashlib`` state
+        that is ``.copy()``-ed per missing pair, so each pair pays one
+        digest of the 32-byte inner hash instead of re-hashing
+        ``tk_i``. The pair memo, the ``hits``/``misses``/``resets``
+        counts and the ``max_entries`` reset behave exactly as the
+        per-pair path; an injected ``hash_function`` takes that path.
+        """
+        if self._hash is not sha256_hash:
+            modulus = self.modulus
+            return [modulus(token_i, token_j) for token_j in tokens_j]
+        moduli = self._moduli
+        memo_get = moduli.get
+        inner_of = self._inner
+        z = self.z
+        limit = sys.maxsize if self.max_entries is None else self.max_entries
+        secret_prefix = _encode(self.secret) + _FIELD_SEPARATOR
+        from_bytes = int.from_bytes
+        outer_state = None
+        misses = 0
+        values: List[int] = []
+        append = values.append
+        for token_j in tokens_j:
+            key = (token_i, token_j)
+            value = memo_get(key)
+            if value is None:
+                misses += 1
+                inner = inner_of.get(token_j)
+                if inner is None:
+                    inner = hashlib.sha256(secret_prefix + _encode(token_j)).digest()
+                    inner_of[token_j] = inner
+                if outer_state is None:
+                    outer_state = hashlib.sha256(_encode(token_i) + _FIELD_SEPARATOR).copy
+                outer = outer_state()
+                outer.update(inner)
+                value = from_bytes(outer.digest(), "big") % z
+                if len(moduli) >= limit:
+                    moduli.clear()
+                    inner_of.clear()
+                    self.resets += 1
+                moduli[key] = value
+            append(value)
+        self.misses += misses
+        self.hits += len(values) - misses
+        return values
 
     def matches(self, secret: int, z: int) -> bool:
         """Whether this cache was built for exactly ``(secret, z)``."""

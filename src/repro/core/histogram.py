@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,45 @@ from repro.core.arrays import (
 from repro.core.backend import get_backend
 from repro.core.tokens import TokenValue, canonical_token
 from repro.exceptions import HistogramError
+
+
+#: Occurrences drained per batch when :meth:`TokenHistogram.from_tokens`
+#: counts a lazy iterable, so the transient batch list stays bounded.
+_LAZY_COUNT_BATCH = 65_536
+
+
+def count_token_batch(batch: Sequence[TokenValue]) -> Counter:
+    """Canonical occurrence counts of one materialised batch of tokens.
+
+    The one counting kernel behind :meth:`TokenHistogram.from_tokens` and
+    :meth:`repro.core.streaming.StreamingHistogramBuilder.add_tokens`.
+    The batch is counted by ``Counter`` at C speed; the result is kept
+    only when every key is exactly ``str``, for which
+    :func:`~repro.core.tokens.canonical_token` is the identity. Any other
+    key (``1``, ``True`` and ``1.0`` hash alike and would merge; bytes,
+    tuples and ``str`` subclasses canonicalise differently or not at
+    all) or an unhashable value (a list) sends the batch through the
+    per-token canonicalising path instead. Either way the counts and
+    their first-seen key order equal a per-token
+    ``canonical_token`` loop over the batch.
+
+    Parameters
+    ----------
+    batch : Sequence[TokenValue]
+        Token occurrences; iterated at most twice.
+
+    Returns
+    -------
+    Counter
+        Canonical token -> occurrences in ``batch``.
+    """
+    try:
+        counts = Counter(batch)
+        if all(type(token) is str for token in counts):
+            return counts
+    except TypeError:  # an unhashable value, such as a list token
+        pass
+    return Counter(map(canonical_token, batch))
 
 
 @dataclass(frozen=True)
@@ -178,7 +219,9 @@ class TokenHistogram:
         ----------
         tokens : Iterable[TokenValue]
             Token occurrences in any order; values are canonicalised via
-            :func:`repro.core.tokens.canonical_token`. For chunked or
+            :func:`repro.core.tokens.canonical_token` (counted in bulk by
+            :func:`count_token_batch`; lazy iterables in bounded
+            batches). For chunked or
             lazy data sources, prefer
             :class:`repro.core.streaming.StreamingHistogramBuilder`,
             whose result is bit-identical.
@@ -193,10 +236,13 @@ class TokenHistogram:
         HistogramError
             If the sequence is empty.
         """
-        counts: Dict[str, int] = {}
-        for value in tokens:
-            token = canonical_token(value)
-            counts[token] = counts.get(token, 0) + 1
+        if isinstance(tokens, (list, tuple)):
+            counts = count_token_batch(tokens)
+        else:
+            counts = Counter()
+            iterator = iter(tokens)
+            for batch in iter(lambda: list(islice(iterator, _LAZY_COUNT_BATCH)), []):
+                counts.update(count_token_batch(batch))
         if not counts:
             raise HistogramError("cannot build a histogram from an empty dataset")
         return cls(counts)
@@ -397,4 +443,4 @@ def pairwise_rank_gaps(histogram: TokenHistogram) -> List[int]:
     return np.subtract(counts[:-1], counts[1:]).tolist()
 
 
-__all__ = ["TokenBoundaries", "TokenHistogram", "pairwise_rank_gaps"]
+__all__ = ["TokenBoundaries", "TokenHistogram", "count_token_batch", "pairwise_rank_gaps"]

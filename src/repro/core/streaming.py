@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, Mapping
 
-from repro.core.histogram import TokenHistogram
+from repro.core.histogram import TokenHistogram, count_token_batch
 from repro.core.tokens import TokenValue, canonical_token
 from repro.exceptions import HistogramError
 
@@ -157,13 +157,7 @@ class StreamingHistogramBuilder:
         """
         update = self._counts.update
         for batch in iter_batches(tokens, self.chunk_size):
-            # Token files and loaders yield plain strings, for which
-            # canonicalisation is the identity — feeding the batch straight
-            # into Counter.update keeps the whole count at C speed.
-            if all(type(token) is str for token in batch):
-                update(batch)
-            else:
-                update(map(canonical_token, batch))
+            update(count_token_batch(batch))
             self._total += len(batch)
             self._chunks += 1
 

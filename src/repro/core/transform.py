@@ -17,6 +17,7 @@ transformation lives in :mod:`repro.core.multidimensional`.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.core.histogram import TokenHistogram
@@ -50,27 +51,36 @@ def apply_deltas_to_tokens(
     original histogram with ``deltas`` applied.
     """
     generator = ensure_rng(rng)
-    canonical = [canonical_token(token) for token in tokens]
+    # Loaded token files are lists of plain strings, for which
+    # canonicalisation is the identity: skip the per-token copy.
+    if isinstance(tokens, list) and set(map(type, tokens)) <= {str}:
+        canonical = tokens
+    else:
+        canonical = [canonical_token(token) for token in tokens]
 
-    # Plan removals: choose random occurrence indices per token.
-    removal_indices: set = set()
-    positions_by_token: Dict[str, List[int]] = {}
+    # Plan removals: choose random occurrence indices per token. One
+    # C-speed pass finds every occurrence of a removed token; only those
+    # occurrences are grouped in Python.
     removals = {token: -delta for token, delta in deltas.items() if delta < 0}
     if removals:
-        for index, token in enumerate(canonical):
-            if token in removals:
-                positions_by_token.setdefault(token, []).append(index)
+        positions_by_token: Dict[str, List[int]] = {token: [] for token in removals}
+        hits = compress(range(len(canonical)), map(removals.__contains__, canonical))
+        for index in hits:
+            positions_by_token[canonical[index]].append(index)
+        keep = bytearray(b"\x01") * len(canonical)
         for token, count in removals.items():
-            positions = positions_by_token.get(token, [])
+            positions = positions_by_token[token]
             if len(positions) < count:
                 raise GenerationError(
                     f"cannot remove {count} appearances of {token!r}: only "
                     f"{len(positions)} present"
                 )
             chosen = generator.choice(len(positions), size=count, replace=False)
-            removal_indices.update(positions[i] for i in chosen)
-
-    result = [token for index, token in enumerate(canonical) if index not in removal_indices]
+            for i in chosen:
+                keep[positions[i]] = 0
+        result = list(compress(canonical, keep))
+    else:
+        result = list(canonical)
 
     # Plan insertions: new appearances land at random positions.
     additions = {token: delta for token, delta in deltas.items() if delta > 0}

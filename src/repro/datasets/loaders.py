@@ -10,6 +10,7 @@ their own data sources.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
@@ -26,37 +27,54 @@ PathLike = Union[str, Path]
 
 
 def load_token_file(path: PathLike) -> List[str]:
-    """Read a token-per-line text file into a token list.
+    r"""Read a token-per-line text file into a token list.
 
-    Blank lines are skipped; surrounding whitespace is stripped. This is
-    the natural on-disk form for single-dimensional datasets such as a
-    list of visited URLs.
+    Line rule, shared with :func:`iter_tokens`: the file is read as
+    UTF-8 with universal newlines (``\r\n`` and ``\r`` become ``\n``),
+    split on ``\n`` only, each line is stripped of surrounding
+    whitespace and blank lines are skipped. Other Unicode line
+    boundaries (``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``,
+    ``\u2028``, ``\u2029``) stay inside their token, so a file
+    written by :func:`save_token_file` reads back token for token. This
+    is the natural on-disk form for single-dimensional datasets such as
+    a list of visited URLs.
     """
     text = Path(path).read_text(encoding="utf-8")
-    tokens = [line.strip() for line in text.splitlines() if line.strip()]
+    tokens = list(filter(None, map(str.strip, text.split("\n"))))
     if not tokens:
         raise DatasetError(f"token file {path!s} contains no tokens")
     return tokens
 
 
-def save_token_file(tokens: Iterable[str], path: PathLike) -> None:
-    """Write a token iterable as a token-per-line text file, atomically.
+#: Tokens joined into one ``write`` by :func:`save_token_file`; bounds the
+#: transient block string while keeping the per-call overhead negligible.
+SAVE_BLOCK_TOKENS = 65_536
 
-    The tokens are written incrementally, so a lazy stream (for example
-    the output of
-    :func:`repro.core.transform.apply_deltas_streaming`) is persisted in
-    bounded memory. The write goes to a same-directory temporary file
+
+def save_token_file(tokens: Iterable[str], path: PathLike) -> None:
+    r"""Write a token iterable as a token-per-line text file, atomically.
+
+    The tokens are written in ``"\n".join`` blocks of at most
+    :data:`SAVE_BLOCK_TOKENS`, so a lazy stream (for example the output
+    of :func:`repro.core.transform.apply_deltas_streaming`) is persisted
+    in bounded memory. The write goes to a same-directory temporary file
     that replaces ``path`` only on success, so an exception mid-stream
     (or an empty stream, which is rejected) never truncates or corrupts
     a pre-existing file at ``path``.
     """
     path = Path(path)
     scratch = path.with_name(path.name + ".tmp-write")
+    iterator = iter(tokens)
     wrote_any = False
     try:
         with scratch.open("w", encoding="utf-8") as handle:
-            for token in tokens:
-                handle.write(f"{token}\n")
+            for block in iter(lambda: list(islice(iterator, SAVE_BLOCK_TOKENS)), []):
+                try:
+                    text = "\n".join(block)
+                except TypeError:
+                    text = "\n".join(f"{token}" for token in block)
+                handle.write(text)
+                handle.write("\n")
                 wrote_any = True
         if not wrote_any:
             raise DatasetError(f"refusing to write an empty token file to {path!s}")
@@ -66,12 +84,12 @@ def save_token_file(tokens: Iterable[str], path: PathLike) -> None:
 
 
 def iter_tokens(path: PathLike) -> Iterator[str]:
-    """Lazily iterate the tokens of a token-per-line text file.
+    r"""Lazily iterate the tokens of a token-per-line text file.
 
-    The streaming counterpart of :func:`load_token_file`: the file is
-    read line by line, blank lines are skipped and surrounding
-    whitespace is stripped, but the token list is never materialised —
-    memory stays constant regardless of file size.
+    The streaming counterpart of :func:`load_token_file`, with the same
+    line rule (universal newlines, split on ``\n`` only, strip, skip
+    blanks): the file is read line by line but the token list is never
+    materialised — memory stays constant regardless of file size.
 
     Parameters
     ----------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,29 @@ class TestBatchedMonteCarlo:
         assert len(forged.pairs) == 5
         assert forged.modulus_cap == 31
         assert forged.metadata.get("forged") is True
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # The binomial tail is the only user of scipy.stats, whose import
+        # alone costs more than the rest of ``import repro.cli``; a fresh
+        # interpreter checks the module list, not wall-clock time.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == "False"
+
+    def test_binomial_tail_numerics_are_unchanged(self):
+        assert guess_success_probability(20, 5, modulus=131, threshold=0) == 3.652315578155728e-07
+        assert guess_success_probability(139, 70, modulus=131, threshold=3) == (
+            4.905742456012531e-67
+        )

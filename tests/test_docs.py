@@ -9,6 +9,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_links import broken_links, iter_links  # noqa: E402
+from check_md_refs import dangling_references  # noqa: E402
 
 
 class TestLinkChecker:
@@ -39,3 +40,24 @@ class TestShippedDocs:
             if broken_links(page)
         }
         assert not failures, f"broken internal doc links: {failures}"
+
+
+class TestTopLevelMarkdownReferences:
+    def test_flags_only_missing_top_level_names(self, tmp_path):
+        (tmp_path / "README.md").write_text("# readme\n", encoding="utf-8")
+        source = tmp_path / "module.py"
+        source.write_text(
+            '"""See README.md and GONE.md, docs/cli.md and report.md."""\n'
+            "# also MISSING.md\n",
+            encoding="utf-8",
+        )
+        assert dangling_references(source, tmp_path) == [(1, "GONE.md"), (2, "MISSING.md")]
+
+    def test_shipped_code_names_only_existing_documents(self):
+        failures = {}
+        for directory in ("src", "benchmarks", "tools"):
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                found = dangling_references(path)
+                if found:
+                    failures[str(path.relative_to(REPO_ROOT))] = found
+        assert not failures, f"code names missing top-level documents: {failures}"

@@ -63,7 +63,7 @@ def broken_links(path: Path) -> List[Tuple[int, str]]:
 
 def main(argv: List[str]) -> int:
     if not argv:
-        print("usage: check_links.py FILE.md [FILE.md ...]", file=sys.stderr)
+        print("usage: check_links.py PAGE [PAGE ...]", file=sys.stderr)
         return 2
     failures = 0
     for name in argv:
