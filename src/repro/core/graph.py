@@ -15,13 +15,49 @@ embed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.core.blossom import max_weight_matching
 from repro.core.eligibility import EligiblePair
 from repro.core.tokens import TokenPair
 from repro.exceptions import MatchingError
+
+
+class PairEdge(NamedTuple):
+    """Data of one eligible-pair edge.
+
+    ``weight`` is ``T - cost`` (what MWM maximises), ``cost`` the number
+    of appearance changes needed to watermark the pair and ``eligible``
+    the originating :class:`EligiblePair`, so downstream stages recover
+    the modulus without recomputing hashes.
+    """
+
+    weight: int
+    cost: int
+    eligible: EligiblePair
+
+
+class PairGraph(NamedTuple):
+    """The weighted eligible-pair graph.
+
+    ``adjacency`` maps each token to ``{neighbour: weight}``; tokens are
+    in order of first appearance and neighbours in edge order, the order
+    :func:`repro.core.blossom.max_weight_matching` breaks ties by.
+    ``edges`` maps ``(first, second)`` of each eligible pair, in edge
+    order, to its :class:`PairEdge`.
+    """
+
+    adjacency: Dict[str, Dict[str, int]]
+    edges: Dict[Tuple[str, str], PairEdge]
+
+    def edge(self, u: str, v: str) -> Optional[PairEdge]:
+        """The data of edge ``u``-``v`` in either orientation, or ``None``."""
+        data = self.edges.get((u, v))
+        return data if data is not None else self.edges.get((v, u))
+
+    def number_of_edges(self) -> int:
+        """Number of distinct eligible-pair edges."""
+        return len(self.edges)
 
 
 def choose_weight_offset(pairs: Sequence[EligiblePair]) -> int:
@@ -42,47 +78,48 @@ def build_pair_graph(
     pairs: Sequence[EligiblePair],
     *,
     weight_offset: Optional[int] = None,
-) -> nx.Graph:
+) -> PairGraph:
     """Build the weighted eligible-pair graph.
 
-    Each edge stores three attributes: ``weight`` (``T - cost``, what MWM
-    maximises), ``cost`` (the number of appearance changes needed to
-    watermark the pair) and ``eligible`` (the originating
-    :class:`EligiblePair` object, so downstream stages can recover the
-    modulus without recomputing hashes).
+    Edges are added in ``pairs`` order, each pair's first token before its
+    second; a pair repeated in either orientation keeps its first position
+    and takes the later data.
     """
     offset = choose_weight_offset(pairs) if weight_offset is None else weight_offset
-    graph = nx.Graph()
+    adjacency: Dict[str, Dict[str, int]] = {}
+    edges: Dict[Tuple[str, str], PairEdge] = {}
     for item in pairs:
-        if item.cost >= offset:
+        cost = item.cost
+        if cost >= offset:
             raise MatchingError(
                 "weight offset T must exceed every pair cost; "
-                f"got T={offset} <= cost={item.cost}"
+                f"got T={offset} <= cost={cost}"
             )
-        graph.add_edge(
-            item.pair.first,
-            item.pair.second,
-            weight=offset - item.cost,
-            cost=item.cost,
-            eligible=item,
-        )
-    return graph
+        u, v = item.pair.first, item.pair.second
+        weight = offset - cost
+        adjacency.setdefault(u, {})[v] = weight
+        adjacency.setdefault(v, {})[u] = weight
+        key = (v, u) if (v, u) in edges else (u, v)
+        edges[key] = PairEdge(weight, cost, item)
+    return PairGraph(adjacency, edges)
 
 
-def maximum_weight_matching(graph: nx.Graph) -> List[EligiblePair]:
+def maximum_weight_matching(graph: PairGraph) -> List[EligiblePair]:
     """Run Maximum Weight Matching and return the matched eligible pairs.
 
-    ``maxcardinality=True`` mirrors the paper's objective of selecting as
+    Maximum cardinality mirrors the paper's objective of selecting as
     many pairs as possible: among maximum-cardinality matchings, the one
     with the largest total weight (smallest total cost) is returned.
     """
-    if graph.number_of_edges() == 0:
+    if not graph.edges:
         return []
-    matching = nx.max_weight_matching(graph, maxcardinality=True, weight="weight")
-    matched: List[EligiblePair] = []
-    for endpoint_a, endpoint_b in matching:
-        data = graph.get_edge_data(endpoint_a, endpoint_b)
-        matched.append(data["eligible"])
+    mate = max_weight_matching(
+        graph.adjacency,
+        [(u, v, data.weight) for (u, v), data in graph.edges.items()],
+    )
+    matched = [
+        data.eligible for (u, v), data in graph.edges.items() if mate.get(u) == v
+    ]
     matched.sort(key=lambda item: (item.cost, item.pair))
     return matched
 
@@ -108,6 +145,8 @@ def pairs_by_token(pairs: Sequence[EligiblePair]) -> Dict[str, TokenPair]:
 
 
 __all__ = [
+    "PairEdge",
+    "PairGraph",
     "choose_weight_offset",
     "build_pair_graph",
     "maximum_weight_matching",

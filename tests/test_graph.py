@@ -40,10 +40,12 @@ class TestGraphConstruction:
     def test_edges_carry_cost_and_eligible(self):
         pairs = [_pair("a", "b", 100, 40, 140)]
         graph = build_pair_graph(pairs)
-        data = graph.get_edge_data("a", "b")
-        assert data["cost"] == 40
-        assert data["eligible"] is pairs[0]
-        assert data["weight"] > 0
+        data = graph.edge("a", "b")
+        assert data.cost == 40
+        assert data.eligible is pairs[0]
+        assert data.weight > 0
+        assert graph.edge("b", "a") is data
+        assert graph.adjacency == {"a": {"b": data.weight}, "b": {"a": data.weight}}
 
     def test_invalid_offset_rejected(self):
         pairs = [_pair("a", "b", 100, 40, 140)]
@@ -83,9 +85,7 @@ class TestMaximumWeightMatching:
         assert {item.pair for item in matched} == {TokenPair("a", "b"), TokenPair("c", "d")}
 
     def test_empty_graph(self):
-        import networkx as nx
-
-        assert maximum_weight_matching(nx.Graph()) == []
+        assert maximum_weight_matching(build_pair_graph([])) == []
 
 
 class TestHelpers:

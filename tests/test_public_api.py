@@ -9,6 +9,7 @@ import pytest
 PUBLIC_MODULES = [
     "repro",
     "repro.core",
+    "repro.core.blossom",
     "repro.core.bucketize",
     "repro.core.config",
     "repro.core.detector",
