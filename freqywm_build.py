@@ -40,7 +40,7 @@ WHEEL_TAG = "py3-none-any"
 SUMMARY = (
     "FreqyWM: frequency watermarking for the new data economy (ICDE 2024 reproduction)"
 )
-DEPENDENCIES = ("numpy", "scipy", "networkx")
+DEPENDENCIES = ("numpy", "scipy")
 
 
 # --------------------------------------------------------------------------- #

@@ -2,17 +2,16 @@
 
 Section III-B2 reduces optimal pair selection to Maximum Weight Matching
 (MWM) on the eligible-pair graph. This module is that kernel: a port of
-``networkx.max_weight_matching(G, maxcardinality=True)`` (NetworkX 3.6.1,
-``networkx/algorithms/matching.py``) onto a plain adjacency mapping
-``{node: {neighbour: weight}}``.
+NetworkX's maximum-cardinality ``max_weight_matching`` (see the notice
+below) onto a plain adjacency mapping ``{node: {neighbour: weight}}``.
 
 The port keeps the original's iteration order everywhere it can decide a
 tie: vertices in adjacency order (first appearance), neighbours in edge
-insertion order, blossoms in creation order. Given the adjacency
-``nx.Graph.add_edge`` would build from the same edge sequence, it
-therefore returns the same matching as NetworkX, not just one of equal
-weight, which keeps the selected pairs, the secret and the watermarked
-bytes unchanged. What differs is plumbing: ``slack`` reads the adjacency
+insertion order, blossoms in creation order. Given the adjacency that
+NetworkX's ``Graph.add_edge`` builds from the same edge sequence, it
+therefore returns the same matching as the original, not just one of
+equal weight, which keeps the selected pairs, the secret and the
+watermarked bytes unchanged. What differs is plumbing: ``slack`` reads the adjacency
 weight directly instead of going through graph views, the end-of-run
 optimality check raises :class:`~repro.exceptions.MatchingError` instead
 of asserting (so it also runs under ``python -O``) and walks each
@@ -23,8 +22,9 @@ The algorithm follows "Efficient Algorithms for Finding Maximum Matching
 in Graphs" by Zvi Galil, ACM Computing Surveys, 1986; see that paper for
 the terms used in the comments (S-/T-labels, blossoms, delta1..delta4).
 
-The code is derived from NetworkX, distributed under the 3-clause BSD
-license::
+The code is derived from ``max_weight_matching`` in NetworkX 3.6.1
+(``networkx/algorithms/matching.py``), distributed under the 3-clause
+BSD license::
 
    Copyright (c) 2004-2025, NetworkX Developers
    Aric Hagberg <hagberg@lanl.gov>
@@ -74,7 +74,7 @@ WeightedEdge = Tuple[Node, Node, float]
 
 
 def build_adjacency(edges: Iterable[WeightedEdge]) -> Dict[Node, Dict[Node, float]]:
-    """The adjacency ``nx.Graph.add_edge`` builds from ``edges``, in order.
+    """The adjacency NetworkX's ``Graph.add_edge`` builds from ``edges``.
 
     Nodes appear in order of first appearance (``u`` before ``v``),
     neighbours in edge order; a repeated edge keeps its position and takes
@@ -140,7 +140,7 @@ def max_weight_matching(
     """Maximum-cardinality matching of maximum weight.
 
     Among all matchings of the largest cardinality, return one of maximum
-    total weight — the one ``networkx.max_weight_matching(G,
+    total weight — the one NetworkX's ``max_weight_matching(G,
     maxcardinality=True)`` returns for the graph with this adjacency.
 
     Parameters

@@ -107,13 +107,20 @@ def histogram_deltas(
     Dict[str, int]
         Token -> non-zero signed delta, ready for
         :func:`apply_deltas_to_tokens` or :func:`apply_deltas_streaming`.
+        Keys follow ``original``'s order, then tokens new in
+        ``watermarked`` in its order. That order drives the edit's RNG
+        calls, so it must not depend on ``PYTHONHASHSEED``.
     """
+    before = original.as_dict()
+    after = watermarked.as_dict()
     deltas: Dict[str, int] = {}
-    all_tokens = set(original.as_dict()) | set(watermarked.as_dict())
-    for token in all_tokens:
-        delta = watermarked.frequency(token) - original.frequency(token)
+    for token, count in before.items():
+        delta = after.get(token, 0) - count
         if delta != 0:
             deltas[token] = delta
+    for token, count in after.items():
+        if token not in before:
+            deltas[token] = count
     return deltas
 
 

@@ -134,23 +134,43 @@ class TestBatchedMonteCarlo:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # The binomial tail is the only user of scipy.stats, whose import
-        # alone costs more than the rest of ``import repro.cli``; a fresh
-        # interpreter checks the module list, not wall-clock time.
+    def _probe(self, code: str) -> str:
+        # A fresh interpreter checks the module list, not wall-clock time.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
         completed = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", code],
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
             check=True,
         )
-        assert completed.stdout.strip() == "False"
+        return completed.stdout.strip()
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # The binomial tail is the only user of scipy.stats, whose import
+        # alone costs more than the rest of ``import repro.cli``.
+        probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+        assert self._probe(probe) == "False"
+
+    def test_networkx_is_never_imported(self):
+        # Maximum weight matching runs on the in-tree blossom kernel;
+        # networkx is only the oracle of its differential tests.
+        probe = (
+            "import sys, repro.cli\n"
+            "print('networkx' in sys.modules)\n"
+            "from repro.core.config import GenerationConfig\n"
+            "from repro.core.generator import WatermarkGenerator\n"
+            "from repro.datasets.synthetic import generate_power_law_histogram\n"
+            "histogram = generate_power_law_histogram(\n"
+            "    1.0, n_tokens=200, sample_size=50_000, mode='sampled', rng=5)\n"
+            "result = WatermarkGenerator(GenerationConfig(), rng=3).generate(\n"
+            "    histogram, secret_value=123456789)\n"
+            "print(len(result.secret.pairs) > 0, 'networkx' in sys.modules)\n"
+        )
+        assert self._probe(probe).splitlines() == ["False", "True False"]
 
     def test_binomial_tail_numerics_are_unchanged(self):
         assert guess_success_probability(20, 5, modulus=131, threshold=0) == 3.652315578155728e-07

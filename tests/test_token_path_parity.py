@@ -4,8 +4,8 @@ The bulk token path (``load_token_file`` / ``save_token_file``,
 ``count_token_batch`` behind ``TokenHistogram.from_tokens`` and the
 streaming builder, the mask-based ``apply_deltas_to_tokens`` and
 ``PairModulusCache.row_moduli``) must change no output byte. These
-tests pin that three ways: a golden digest of a full embed recorded on
-the per-token implementation, Hypothesis properties against reference
+tests pin that three ways: a golden digest of a full embed, the same
+under every ``PYTHONHASHSEED``, Hypothesis properties against reference
 implementations kept here verbatim, and the token-file line rule shared
 by both loaders.
 
@@ -90,21 +90,21 @@ with tempfile.TemporaryDirectory() as tmp:
     print(digest.hexdigest())
 """
 
-#: sha256 of (watermarked file || secret JSON), recorded with the
-#: per-token loaders, counting, transform and per-pair hashing. The edit
-#: order follows ``histogram_deltas``, which iterates a set of strings,
-#: so the bytes depend on ``PYTHONHASHSEED`` and the hash seed is pinned.
+#: sha256 of (watermarked file || secret JSON). The edit order follows
+#: ``histogram_deltas``, which walks the histograms in their own order,
+#: so the bytes are the same under every ``PYTHONHASHSEED``.
 _GOLDEN = [
-    ("0", "default", 7, 0x5EEDF00DCAFEBEEF123456789ABCDEF0,
-     "dc940dc77c19f85e33cafdf83e49842197f416c0956b21eabd6c1b39ff40eb01"),
-    ("0", "hardened", 11, 987654321987654321,
-     "c3f4d5210948ccd61800b4fdf69b0085ae6d410490461a62600d77c40997b449"),
-    ("1", "default", 7, 0x5EEDF00DCAFEBEEF123456789ABCDEF0,
-     "9e4b382dd49cdb06b3d6bb4ca928265be5a1ce6e0a0c93f74812c949e7333fab"),
+    ("default", 7, 0x5EEDF00DCAFEBEEF123456789ABCDEF0,
+     "68542f7f8e42308b72539b6395af3fe30312963f8503902a17781272bc7afbc7"),
+    ("hardened", 11, 987654321987654321,
+     "13398728a65002ba30d0c2451c787bb96aedf64f3e182bd2d5380538f120d8fc"),
 ]
 
 
-@pytest.mark.parametrize("hash_seed, config, seed, secret, expected", _GOLDEN)
+@pytest.mark.parametrize(
+    "hash_seed, config, seed, secret, expected",
+    [(hash_seed, *row) for hash_seed in ("0", "1", "random") for row in _GOLDEN],
+)
 def test_embed_output_bytes_are_pinned(hash_seed, config, seed, secret, expected):
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
