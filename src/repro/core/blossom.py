@@ -64,39 +64,13 @@ BSD license::
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 from repro.exceptions import MatchingError
 
 Node = Hashable
 Adjacency = Mapping[Node, Mapping[Node, float]]
 WeightedEdge = Tuple[Node, Node, float]
-
-
-def build_adjacency(edges: Iterable[WeightedEdge]) -> Dict[Node, Dict[Node, float]]:
-    """The adjacency NetworkX's ``Graph.add_edge`` builds from ``edges``.
-
-    Nodes appear in order of first appearance (``u`` before ``v``),
-    neighbours in edge order; a repeated edge keeps its position and takes
-    the later weight.
-    """
-    adjacency: Dict[Node, Dict[Node, float]] = {}
-    for u, v, weight in edges:
-        adjacency.setdefault(u, {})[v] = weight
-        adjacency.setdefault(v, {})[u] = weight
-    return adjacency
-
-
-def adjacency_edges(adjacency: Adjacency) -> Sequence[WeightedEdge]:
-    """Each undirected edge of ``adjacency`` once, as ``(u, v, weight)``."""
-    seen = set()
-    edges = []
-    for u, neighbours in adjacency.items():
-        for v, weight in neighbours.items():
-            if v not in seen:
-                edges.append((u, v, weight))
-        seen.add(u)
-    return edges
 
 
 class _NoNode:
@@ -147,12 +121,13 @@ def max_weight_matching(
     ----------
     adjacency:
         ``{node: {neighbour: weight}}``, symmetric. Its key order is the
-        vertex order and each inner order the neighbour order (see
-        :func:`build_adjacency`).
+        vertex order and each inner order the neighbour order, as
+        NetworkX's ``Graph.add_edge`` builds them: nodes by first
+        appearance (``u`` before ``v``), neighbours by edge order.
     edges:
         Every undirected edge once, as ``(u, v, weight)``, consistent with
-        ``adjacency`` (see :func:`adjacency_edges`). Used for the largest
-        weight and the optimality check; its order does not matter.
+        ``adjacency``. Used for the largest weight and the optimality
+        check; its order does not matter.
 
     Returns
     -------
@@ -925,8 +900,6 @@ def verify_optimum(
 
 
 __all__ = [
-    "build_adjacency",
-    "adjacency_edges",
     "max_weight_matching",
     "verify_optimum",
 ]

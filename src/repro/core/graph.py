@@ -50,15 +50,6 @@ class PairGraph(NamedTuple):
     adjacency: Dict[str, Dict[str, int]]
     edges: Dict[Tuple[str, str], PairEdge]
 
-    def edge(self, u: str, v: str) -> Optional[PairEdge]:
-        """The data of edge ``u``-``v`` in either orientation, or ``None``."""
-        data = self.edges.get((u, v))
-        return data if data is not None else self.edges.get((v, u))
-
-    def number_of_edges(self) -> int:
-        """Number of distinct eligible-pair edges."""
-        return len(self.edges)
-
 
 def choose_weight_offset(pairs: Sequence[EligiblePair]) -> int:
     """Pick the constant ``T`` used to convert remainders into weights.

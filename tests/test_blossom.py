@@ -16,17 +16,19 @@ backend-parity job runs it at 1000).
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import blossom
-from repro.core.blossom import adjacency_edges, build_adjacency, max_weight_matching
+from repro.core.blossom import max_weight_matching
 from repro.core.eligibility import EligiblePair, generate_eligible_pairs
 from repro.core.graph import build_pair_graph, choose_weight_offset, maximum_weight_matching
 from repro.core.histogram import TokenHistogram
+from repro.core.tokens import TokenPair
 from repro.datasets.synthetic import PowerLawSpec, sampled_counts
 from repro.exceptions import MatchingError
 
@@ -39,6 +41,29 @@ _settings = settings(
 )
 
 Edge = Tuple[object, object, object]
+
+
+def build_adjacency(edges: Sequence[Edge]) -> Dict[object, Dict[object, object]]:
+    """The adjacency ``nx.Graph.add_edge`` builds from ``edges``, in order.
+
+    Nodes by first appearance (``u`` before ``v``), neighbours by edge
+    order; a repeated edge keeps its position and takes the later weight.
+    """
+    adjacency: Dict[object, Dict[object, object]] = {}
+    for u, v, weight in edges:
+        adjacency.setdefault(u, {})[v] = weight
+        adjacency.setdefault(v, {})[u] = weight
+    return adjacency
+
+
+def adjacency_edges(adjacency) -> List[Edge]:
+    """Each undirected edge of ``adjacency`` once, as ``(u, v, weight)``."""
+    seen = set()
+    edges = []
+    for u, neighbours in adjacency.items():
+        edges.extend((u, v, weight) for v, weight in neighbours.items() if v not in seen)
+        seen.add(u)
+    return edges
 
 
 def _oracle(edges: Sequence[Edge]) -> Set[FrozenSet]:
@@ -102,18 +127,6 @@ class TestSmallGraphs:
         edges = [("a", "a", 9), ("a", "b", 1)]
         assert _kernel(edges) == {frozenset(("a", "b"))}
 
-    def test_build_adjacency_follows_add_edge_order(self):
-        edges = [("b", "c", 1), ("a", "b", 2), ("c", "b", 3)]
-        graph = nx.Graph()
-        for u, v, weight in edges:
-            graph.add_edge(u, v, weight=weight)
-        adjacency = build_adjacency(edges)
-        assert list(adjacency) == list(graph)
-        for node in graph:
-            assert list(adjacency[node].items()) == [
-                (neighbour, data["weight"]) for neighbour, data in graph[node].items()
-            ]
-
 
 def _paper_scale_eligible(size: int, index: int) -> List[EligiblePair]:
     spec = PowerLawSpec(alpha=1.0, n_tokens=1000, sample_size=size)
@@ -134,6 +147,25 @@ class TestPaperScale:
         )
         matched = maximum_weight_matching(build_pair_graph(eligible))
         assert {frozenset((item.pair.first, item.pair.second)) for item in matched} == expected
+
+    def test_pair_graph_follows_add_edge_order(self):
+        # Ties resolve by vertex and neighbour order, so the pair graph
+        # must list both exactly as nx.Graph.add_edge would.
+        eligible = _paper_scale_eligible(100_000, 0)
+        reversed_pair = TokenPair(eligible[5].pair.second, eligible[5].pair.first)
+        flipped = replace(eligible[5], pair=reversed_pair)
+        eligible += [eligible[3], flipped]
+        pairs = build_pair_graph(eligible)
+        offset = choose_weight_offset(eligible)
+        graph = nx.Graph()
+        for item in eligible:
+            graph.add_edge(item.pair.first, item.pair.second, weight=offset - item.cost)
+        assert list(pairs.adjacency) == list(graph)
+        for node in graph:
+            assert list(pairs.adjacency[node].items()) == [
+                (neighbour, data["weight"]) for neighbour, data in graph[node].items()
+            ]
+        assert len(pairs.edges) == graph.number_of_edges()
 
 
 class TestOptimalityCheck:

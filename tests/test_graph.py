@@ -40,11 +40,10 @@ class TestGraphConstruction:
     def test_edges_carry_cost_and_eligible(self):
         pairs = [_pair("a", "b", 100, 40, 140)]
         graph = build_pair_graph(pairs)
-        data = graph.edge("a", "b")
+        data = graph.edges[("a", "b")]
         assert data.cost == 40
         assert data.eligible is pairs[0]
         assert data.weight > 0
-        assert graph.edge("b", "a") is data
         assert graph.adjacency == {"a": {"b": data.weight}, "b": {"a": data.weight}}
 
     def test_invalid_offset_rejected(self):
