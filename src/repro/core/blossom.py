@@ -581,6 +581,10 @@ def max_weight_matching(
     label_get = label.get
     bestedge_get = bestedge.get
 
+    # Single vertices in vertex order. Augmenting never unmatches a
+    # vertex, so each stage only needs to filter the previous list.
+    single = gnodes
+
     # Main loop: continue until no further improvement is possible.
     while 1:
         # Each iteration of this loop is a "stage".
@@ -604,18 +608,18 @@ def max_weight_matching(
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
-        for v in gnodes:
-            if v not in mate:
-                b = inblossom[v]
-                if label_get(b) is None:
-                    if isinstance(b, Blossom):
-                        assignLabel(v, 1, None)
-                    else:
-                        # assignLabel(v, 1, None) for a trivial blossom.
-                        label[v] = 1
-                        labeledge[v] = None
-                        bestedge[v] = None
-                        queue.append(v)
+        single = [v for v in single if v not in mate]
+        for v in single:
+            b = inblossom[v]
+            if label_get(b) is None:
+                if isinstance(b, Blossom):
+                    assignLabel(v, 1, None)
+                else:
+                    # assignLabel(v, 1, None) for a trivial blossom.
+                    label[v] = 1
+                    labeledge[v] = None
+                    bestedge[v] = None
+                    queue.append(v)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0
@@ -687,8 +691,13 @@ def max_weight_matching(
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
                         best = bestedge_get(bv)
-                        if best is None or kslack < slack(*best):
+                        if best is None:
                             bestedge[bv] = (v, w)
+                        else:
+                            # kslack < slack(*best), inlined.
+                            x, y = best
+                            if kslack < dualvar[x] + dualvar[y] - 2 * adjacency[x][y]:
+                                bestedge[bv] = (v, w)
                     elif label_get(w) is None:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
