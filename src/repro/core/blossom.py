@@ -11,12 +11,16 @@ insertion order, blossoms in creation order. Given the adjacency that
 NetworkX's ``Graph.add_edge`` builds from the same edge sequence, it
 therefore returns the same matching as the original, not just one of
 equal weight, which keeps the selected pairs, the secret and the
-watermarked bytes unchanged. What differs is plumbing: ``slack`` reads the adjacency
-weight directly instead of going through graph views, the end-of-run
-optimality check raises :class:`~repro.exceptions.MatchingError` instead
-of asserting (so it also runs under ``python -O``) and walks each
-vertex's blossom chain once, and internal consistency ``assert``\\ s of
-the original are left out.
+watermarked bytes unchanged. What differs is plumbing: ``slack`` reads
+the adjacency weight directly instead of going through graph views; the
+neighbour scan reads each weight with its neighbour, hoists the scanned
+vertex's dual and blossom and compares slacks inline; each stage filters
+the previous stage's single vertices instead of scanning all of them;
+the end-of-run optimality check raises
+:class:`~repro.exceptions.MatchingError` instead of asserting (so it
+also runs under ``python -O``) and walks each vertex's blossom chain
+once; and the original's internal consistency ``assert``\\ s are left
+out.
 
 The algorithm follows "Efficient Algorithms for Finding Maximum Matching
 in Graphs" by Zvi Galil, ACM Computing Surveys, 1986; see that paper for
